@@ -35,7 +35,10 @@ import heapq
 import itertools
 import time as _time
 from collections import defaultdict
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
+from contextlib import contextmanager
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union,
+)
 
 from repro.core.agent import Agent, Holon
 from repro.core.clock import SimClock
@@ -278,6 +281,47 @@ class Simulator:
         Events scheduled *by* horizon-time events drain deterministically
         before the run returns.
         """
+        with self._run_scope():
+            self._advance(until)
+            self._end_run()
+
+    def run_windowed(
+        self,
+        until: float,
+        window: float,
+        at_window_end: Callable[[float, float], None] | None = None,
+    ) -> int:
+        """Run to ``until`` in fixed windows, pausing between them.
+
+        Each window runs the boundary loop of :meth:`run` up to its end,
+        then ``at_window_end(window_start, window_end)`` fires — where a
+        sharded coordinator exchanges cross-shard envelopes.  The run-end
+        sweep (sync every active agent, drop the idle ones) runs once, at
+        ``until``, so a windowed run does the work of one uninterrupted
+        ``run(until)`` plus a drain at each window end, and its results,
+        telemetry floats included, are bit-exact against it.  Profiler and
+        metrics account the whole call as one engine run.  Returns the
+        number of windows run.
+        """
+        if window <= 0:
+            raise SimulationError("window must be positive")
+        windows = 0
+        with self._run_scope():
+            t = self.clock.now
+            while t < until - 1e-9:
+                end = min(t + window, until)
+                self._advance(end)
+                if at_window_end is not None:
+                    at_window_end(t, end)
+                windows += 1
+                t = end
+            self._end_run()
+        return windows
+
+    @contextmanager
+    def _run_scope(self) -> Iterator[None]:
+        """Guard re-entry and account one engine run (profiler wall,
+        ``engine_run*`` metrics) around the enclosed block."""
         if self._running:
             raise SimulationError("simulator is not re-entrant")
         prof = self.profiler
@@ -289,27 +333,7 @@ class Simulator:
         if prof is not None:
             prof.start_run()
         try:
-            while True:
-                t0 = clk() if prof is not None else 0.0
-                t = self._next_boundary(until)
-                if prof is not None:
-                    prof.record("step_select", clk() - t0)
-                if t is None:
-                    break
-                self._process_boundary(t, prof, clk)
-            # horizon: land exactly on `until`, drain anything due there
-            # (including events scheduled by horizon-time events), then
-            # bring every active agent current for measurement
-            if self.clock.now < until:
-                self.clock.advance_to(until)
-            self._process_boundary(self.clock.now, prof, clk)
-            for agent in list(self._active):
-                agent.sync_to(self.clock.now)
-                if agent.idle():
-                    self._active.pop(agent, None)
-                    self._legacy.pop(agent, None)
-            if self.invariants is not None:
-                self.invariants.on_run_end(self.clock.now, self)
+            yield
         finally:
             self._running = False
             if prof is not None:
@@ -324,33 +348,36 @@ class Simulator:
                     met.gauge("engine_sim_wall_ratio").value = (
                         (self.clock.now - sim0) / wall)
 
-    def run_windowed(
-        self,
-        until: float,
-        window: float,
-        at_window_end: Callable[[float, float], None] | None = None,
-    ) -> int:
-        """Run to ``until`` in fixed windows, pausing between them.
+    def _advance(self, until: float) -> None:
+        """Process every boundary up to ``until``, then land exactly on
+        ``until`` and drain anything due there (including events
+        scheduled by horizon-time events)."""
+        prof = self.profiler
+        clk = _time.perf_counter
+        while True:
+            t0 = clk() if prof is not None else 0.0
+            t = self._next_boundary(until)
+            if prof is not None:
+                prof.record("step_select", clk() - t0)
+            if t is None:
+                break
+            self._process_boundary(t, prof, clk)
+        if self.clock.now < until:
+            self.clock.advance_to(until)
+        self._process_boundary(self.clock.now, prof, clk)
 
-        Repeated ``run`` calls are bit-exact against one uninterrupted
-        run (the checkpoint-replay property), so this changes nothing
-        about the results — it only creates synchronization points:
-        ``at_window_end(window_start, window_end)`` fires after each
-        window, which is where a sharded coordinator exchanges
-        cross-shard envelopes.  Returns the number of windows run.
-        """
-        if window <= 0:
-            raise SimulationError("window must be positive")
-        windows = 0
-        t = self.clock.now
-        while t < until - 1e-9:
-            end = min(t + window, until)
-            self.run(end)
-            if at_window_end is not None:
-                at_window_end(t, end)
-            windows += 1
-            t = end
-        return windows
+    def _end_run(self) -> None:
+        """Run-end sweep: bring every active agent current for
+        measurement, retire the idle ones, then the end-of-run
+        invariant checks."""
+        now = self.clock.now
+        for agent in list(self._active):
+            agent.sync_to(now)
+            if agent.idle():
+                self._active.pop(agent, None)
+                self._legacy.pop(agent, None)
+        if self.invariants is not None:
+            self.invariants.on_run_end(now, self)
 
     def _collect_engine_metrics(self, registry: MetricsRegistry) -> None:
         """Collect hook: derive boundary/wake totals and the

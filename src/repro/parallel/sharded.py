@@ -14,8 +14,9 @@ queues at window boundaries.
 
 Equivalence with the single-process engine rests on three facts:
 
-* repeated ``sim.run(t)`` calls are bit-exact against one uninterrupted
-  run (the checkpoint-replay property), so windowing changes nothing;
+* ``sim.run_windowed`` does exactly the work of one uninterrupted
+  ``sim.run`` (window ends only drain the boundary there), so windowing
+  changes nothing;
 * every seed is derived from *global* indices (workload index, server
   index), so a shard draws exactly the random numbers the full run
   would draw for its agents;

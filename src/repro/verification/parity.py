@@ -11,16 +11,13 @@ check that ``python -m repro verify --parity`` can gate on.
 multiprocess backend (PR 6): one consolidation-fleet window with
 cross-shard ``RemotePort`` traffic runs single-process and with
 ``parallel=ParallelOptions(...)``, and every merged output must agree.
-Discrete state (records, sampled series, metric fingerprints) must be
-*exactly* equal; time-integrated telemetry floats (``busy_time`` and
-friends) accumulate per window, so their addition order differs and the
-comparison allows a last-ULP relative tolerance (documented in
-``docs/parallel.md``).
+Records, sampled series, metric fingerprints and per-agent telemetry,
+time-integrated floats (``busy_time`` and friends) included, must be
+*exactly* equal (documented in ``docs/parallel.md``).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
@@ -266,25 +263,6 @@ def sharded_fleet_scenario(n_regions: int = 4, seed: int = 42) -> Scenario:
     )
 
 
-def _almost(a: Any, b: Any, rel: float) -> bool:
-    """Structural equality with relative tolerance on floats only."""
-    if isinstance(a, float) and isinstance(b, (int, float)):
-        if a == b:
-            return True
-        return abs(a - b) <= rel * max(abs(a), abs(b))
-    if type(a) is not type(b):
-        return False
-    if dataclasses.is_dataclass(a) and not isinstance(a, type):
-        return _almost(dataclasses.asdict(a), dataclasses.asdict(b), rel)
-    if isinstance(a, dict):
-        return (a.keys() == b.keys()
-                and all(_almost(a[k], b[k], rel) for k in a))
-    if isinstance(a, (list, tuple)):
-        return (len(a) == len(b)
-                and all(_almost(x, y, rel) for x, y in zip(a, b)))
-    return a == b
-
-
 def check_sharded(
     *,
     n_regions: int = 4,
@@ -293,18 +271,17 @@ def check_sharded(
     cut: str = "region",
     seed: int = 42,
     sample_interval: float = 2.0,
-    float_rel_tol: float = 1e-9,
     kernel: str = "scalar",
 ) -> ParityResult:
     """Diff the sharded backend against a single-process run.
 
-    Records, sampled series and metric fingerprint lines must be exactly
-    equal; telemetry floats are compared within ``float_rel_tol``
-    (windowed ``busy_time`` accumulation reorders float additions — the
-    drift is inherent to windowing, not to the shard transport, and is
-    reproduced by a single-process windowed run).  The check also
-    requires that cross-shard envelopes actually flowed, so a cut that
-    silently localized the traffic cannot pass vacuously.
+    Records, sampled series, metric fingerprint lines and per-agent
+    telemetry — time-integrated floats such as ``busy_time`` included —
+    must be exactly equal: a windowed shard does the same work as one
+    uninterrupted run (see :meth:`~repro.core.engine.Simulator.
+    run_windowed`), so nothing is compared within a tolerance.  The
+    check also requires that cross-shard envelopes actually flowed, so
+    a cut that silently localized the traffic cannot pass vacuously.
 
     Both runs are armed with full tracing and profiling: the merged
     sharded trace must reproduce the single-process span and cascade
@@ -352,11 +329,10 @@ def check_sharded(
                        ("series", single[1], sharded[1]),
                        ("metrics", single[2], sharded[2]),
                        ("spans", single[4], sharded[4]),
-                       ("cascades", single[5], sharded[5])):
+                       ("cascades", single[5], sharded[5]),
+                       ("telemetry", single[3], sharded[3])):
         if a != b:
             mismatches.append(name)
-    if not _almost(single[3], sharded[3], float_rel_tol):
-        mismatches.append("telemetry")
     if not single[4]:
         mismatches.append("no-spans-recorded")
     report = reports["sharded"]
