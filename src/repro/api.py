@@ -1244,9 +1244,9 @@ def simulate(
         spans/phase timings and the result carries the merged trace
         (one ``pid`` lane per shard in the Chrome export, flow events
         on cross-shard hops) and merged profile (engine phases plus the
-        backend's ``window_advance`` / ``envelope_exchange`` /
-        ``barrier_wait``).  Checkpoint/resume and the invariant checker
-        remain single-process-only for now.
+        backend's ``prepare`` / ``window_advance`` /
+        ``envelope_exchange`` / ``barrier_wait``).  Checkpoint/resume
+        and the invariant checker remain single-process-only for now.
     engine:
         An :class:`EngineOptions` group covering ``kernel``, ``mode``
         and ``dt`` in one object.

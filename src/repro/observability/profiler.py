@@ -6,7 +6,9 @@ monitor callbacks (the collector).  Profiling hooks are gated on a flag
 inside the unified run loop, so the unprofiled hot path stays cheap.
 
 Sharded runs (PR 7) add *backend* phases recorded by each worker around
-the engine: ``window_advance`` (compute inside conservative windows —
+the engine: ``prepare`` (worker start-up, from process entry to a
+prepared session with its workloads started — before the first
+window), ``window_advance`` (compute inside conservative windows —
 the engine phases above subdivide it), ``envelope_exchange`` (flushing
 the outbox and scheduling incoming envelopes at window boundaries) and
 ``barrier_wait`` (blocked on the coordinator's window barrier — the
@@ -22,11 +24,13 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 #: Engine phases, in loop order.
 PHASES: Tuple[str, ...] = ("step_select", "wake", "events", "monitors")
 
-#: Sharded-backend phases recorded by each worker around the engine.
-#: ``window_advance`` is wall time *inside* windows (the engine phases
-#: subdivide it); the other two partition the synchronization overhead.
+#: Sharded-backend phases recorded by each worker around the engine, in
+#: the order a worker spends them.  ``prepare`` is start-up before the
+#: first window (recorded with ``calls=1``); ``window_advance`` is wall
+#: time *inside* windows (the engine phases subdivide it); the last two
+#: partition the synchronization overhead.
 BACKEND_PHASES: Tuple[str, ...] = (
-    "window_advance", "envelope_exchange", "barrier_wait")
+    "prepare", "window_advance", "envelope_exchange", "barrier_wait")
 
 
 class EngineProfiler:

@@ -35,8 +35,8 @@ Distributed observability (PR 7): each worker runs its own
 :class:`~repro.observability.trace.TraceRecorder` (partition-independent
 cascade ids, per-shard span-id bases) with the cascade context riding
 envelopes as a picklable tuple, so a cascade crossing a cut stays one
-trace; per-shard engine profiles plus backend phases
-(``window_advance`` / ``envelope_exchange`` / ``barrier_wait``) merge
+trace; per-shard engine profiles plus backend phases (``prepare`` /
+``window_advance`` / ``envelope_exchange`` / ``barrier_wait``) merge
 into a :class:`~repro.observability.profiler.MergedProfile`; and a
 :class:`~repro.parallel.supervisor.RunSupervisor` folds worker
 heartbeats into live progress, stall detection and shard lifecycle
@@ -45,6 +45,7 @@ events.  See ``docs/parallel.md``.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import multiprocessing as mp
 import os
@@ -60,6 +61,7 @@ from repro.api import (
     Scenario,
     SimulationResult,
 )
+from repro.core.checkpoint import state_fingerprint
 from repro.core.errors import ConfigurationError, SimulationError, WorkerError
 from repro.metrics.collector import Snapshot
 from repro.observability.events import EventLog
@@ -101,7 +103,7 @@ class ParallelReport:
     #: Per-shard CPU seconds (``time.process_time``): contention-free
     #: compute cost even when shards time-slice one core.
     shard_cpus: Tuple[float, ...] = ()
-    #: Per-shard backend-phase seconds (window_advance /
+    #: Per-shard backend-phase seconds (prepare / window_advance /
     #: envelope_exchange / barrier_wait) — always measured, the
     #: scaling-loss decomposition of the sweep in BENCH_engine.json.
     shard_phases: Tuple[Dict[str, float], ...] = field(default=())
@@ -225,7 +227,17 @@ def _shard_worker(idx: int, scenario: Scenario, plan: PartitionPlan,
     Runs in a child process.  ``cfg`` carries the picklable session
     kwargs (dt, mode, collect, resilience, metrics, slo, workloads,
     trace, profile, heartbeat_every).
+
+    The first statement freezes the heap inherited from the
+    coordinator: under ``fork`` it holds every object the coordinator
+    built, and without the freeze the worker's first full collection
+    walks all of them (copying the pages it touches).  The worker exits
+    after this run, so never collecting inherited cycles costs nothing.
+    The seconds from entry to a prepared session (workloads started)
+    are reported as the ``prepare`` backend phase.
     """
+    gc.freeze()
+    entered = time.perf_counter()
     try:
         shard_of = {dc: i for i, shard in enumerate(plan.shards)
                     for dc in shard}
@@ -248,10 +260,12 @@ def _shard_worker(idx: int, scenario: Scenario, plan: PartitionPlan,
                                 mode=cfg["mode"], scenario=scenario.name,
                                 shard=idx)
         # backend phases are always measured (three perf_counter reads
-        # per window): window_advance = compute inside windows,
+        # per window): prepare = worker start-up before the first
+        # window, window_advance = compute inside windows,
         # envelope_exchange = outbox flush + incoming scheduling,
         # barrier_wait = blocked on the coordinator's window barrier
-        phases = {"window_advance": 0.0, "envelope_exchange": 0.0,
+        phases = {"prepare": time.perf_counter() - entered,
+                  "window_advance": 0.0, "envelope_exchange": 0.0,
                   "barrier_wait": 0.0}
         hb_every = cfg.get("heartbeat_every", 0.0)
         hb_last = [time.perf_counter()]
@@ -308,13 +322,12 @@ def _shard_worker(idx: int, scenario: Scenario, plan: PartitionPlan,
         profiler = session.sim.profiler
         if profiler is not None:
             for phase, sec in phases.items():
-                profiler.record(phase, sec, calls=windows)
+                profiler.record(phase, sec,
+                                calls=1 if phase == "prepare" else windows)
         if session.events is not None:
             session.events.emit("run_end", session.sim.now,
                                 records=len(session.runner.records),
                                 shard=idx)
-        from repro.core.checkpoint import state_fingerprint
-
         collector = session.collector
         results.put(("result", {
             "idx": idx,
@@ -473,6 +486,13 @@ def run_sharded(
     Called by ``simulate(parallel=...)``; see that docstring for the
     contract.  Falls back to the single-process engine when the cut
     yields one shard.
+
+    Under the vector kernel the coordinator imports
+    :mod:`repro.queueing.soa` (and numpy with it) before starting the
+    workers, so forked workers inherit the module instead of importing
+    it again on every run; under ``spawn`` the import is inert.  The
+    coordinator's own garbage-collector state is never touched: the
+    caller may have frozen objects of its own.
     """
     if scenario.topology is None:
         raise ConfigurationError("scenario has no topology")
@@ -500,6 +520,8 @@ def run_sharded(
         return result
 
     window = _resolve_window(plan, options, until)
+    if kernel == "vector":
+        import repro.queueing.soa  # noqa: F401  (inherited through fork)
     start_method = ("fork" if "fork" in mp.get_all_start_methods()
                     else "spawn")
     ctx = mp.get_context(start_method)

@@ -319,9 +319,10 @@ def test_report_carries_backend_phases():
     report = result.parallel
     assert len(report.shard_phases) == 2
     for phases in report.shard_phases:
-        assert set(phases) == {"window_advance", "envelope_exchange",
-                               "barrier_wait"}
+        assert set(phases) == {"prepare", "window_advance",
+                               "envelope_exchange", "barrier_wait"}
         assert all(v >= 0.0 for v in phases.values())
+        assert phases["prepare"] > 0.0
     doc = report.to_dict()
     assert doc["shard_phases"] == [dict(p) for p in report.shard_phases]
     # the merged profile carries the same phases plus barrier skew
@@ -329,6 +330,8 @@ def test_report_carries_backend_phases():
     assert merged.barrier_skew() >= 0.0
     assert merged.phase_seconds["barrier_wait"] == pytest.approx(
         sum(p["barrier_wait"] for p in report.shard_phases))
+    # start-up is one call per shard, not one per window
+    assert merged.phase_calls["prepare"] == 2
 
 
 def test_supervisor_lifecycle_events_in_result():
